@@ -15,7 +15,7 @@ use conch_httpd::net::Listener;
 use conch_httpd::parallel::{wall_parallel_load, WallConfig};
 use conch_httpd::pool::{start_pooled, PoolConfig};
 use conch_httpd::server::{handler, start, Handler, ServerConfig, StatsSnapshot};
-use conch_httpd::shard::{sharded_load, sharded_load_skewed, LoadConfig};
+use conch_httpd::shard::{sharded_load, LoadConfig};
 use conch_runtime::io::{for_each, sequence, Io};
 use conch_runtime::prelude::*;
 use conch_runtime::timer::{TimerEntry, TimerWheel};
@@ -604,7 +604,7 @@ pub fn serve_n_good_pooled(n: u64) -> Io<StatsSnapshot> {
         ..PoolConfig::default()
     };
     Listener::bind().and_then(move |l| {
-        start_pooled(l, routes(), config).and_then(move |server| {
+        start_pooled(l, routes(), config).and_then(move |pool| {
             Io::new_empty_mvar::<i64>().and_then(move |report| {
                 for_each(n, move |i| {
                     Io::fork(good_client(l, format!("/{i}"), report))
@@ -612,11 +612,11 @@ pub fn serve_n_good_pooled(n: u64) -> Io<StatsSnapshot> {
                 .then(sequence((0..n).map(|_| report.take()).collect()))
                 .and_then(move |codes| {
                     assert!(codes.iter().all(|c| *c == 200));
-                    server
+                    pool.server
                         .shutdown_sync()
-                        .then(server.drain())
-                        .then(server.stats.snapshot())
-                        .and_then(move |snap| server.stop_sync().map(move |_| snap))
+                        .then(pool.server.drain())
+                        .then(pool.server.stats.snapshot())
+                        .and_then(move |snap| pool.stop_sync().map(move |_| snap))
                 })
             })
         })
@@ -693,15 +693,18 @@ pub fn serve_sharded(clients: usize, shards: usize, requests_per_conn: usize) ->
         ..LoadConfig::default()
     };
     let want = (clients * requests_per_conn) as i64;
-    sharded_load(handler(|_| Io::pure(Response::ok("ok"))), cfg).map(move |(oks, snap)| {
-        assert_eq!(oks, want, "every pipelined request must come back 200");
-        assert_eq!(snap.served, want, "aggregate must record every serve");
-        snap
-    })
+    sharded_load(handler(|_| Io::pure(Response::ok("ok"))), cfg, None).map(
+        move |(oks, per_shard)| {
+            let snap = StatsSnapshot::sum(&per_shard);
+            assert_eq!(oks, want, "every pipelined request must come back 200");
+            assert_eq!(snap.served, want, "aggregate must record every serve");
+            snap
+        },
+    )
 }
 
 /// S3: [`serve_sharded`] with a skewed arrival pattern — `hot_percent`%
-/// of the clients land on shard 0 (`conch_httpd::shard::sharded_load_skewed`).
+/// of the clients land on shard 0 (`conch_httpd::shard::sharded_load`).
 /// Returns the quiescent aggregate plus the per-shard snapshots whose
 /// `accepted` counters expose the imbalance; panics unless every request
 /// was served and the aggregate conserves, so the skew costs no
@@ -721,14 +724,18 @@ pub fn serve_sharded_skewed(
         ..LoadConfig::default()
     };
     let want = (clients * requests_per_conn) as i64;
-    sharded_load_skewed(handler(|_| Io::pure(Response::ok("ok"))), cfg, hot_percent).map(
-        move |(oks, agg, per_shard)| {
-            assert_eq!(oks, want, "skewed load must still serve every request");
-            assert_eq!(agg.served, want, "skewed aggregate must record every serve");
-            assert!(agg.conserved(), "skewed aggregate must conserve");
-            (agg, per_shard)
-        },
+    sharded_load(
+        handler(|_| Io::pure(Response::ok("ok"))),
+        cfg,
+        Some(hot_percent),
     )
+    .map(move |(oks, per_shard)| {
+        let agg = StatsSnapshot::sum(&per_shard);
+        assert_eq!(oks, want, "skewed load must still serve every request");
+        assert_eq!(agg.served, want, "skewed aggregate must record every serve");
+        assert!(agg.conserved(), "skewed aggregate must conserve");
+        (agg, per_shard)
+    })
 }
 
 /// W1: the wall-clock parallel plane — `shards` independent schedulers
@@ -745,9 +752,12 @@ pub fn serve_wall_parallel(
     os_threads: usize,
 ) -> conch_httpd::parallel::WallReport {
     let cfg = WallConfig {
-        shards,
-        clients,
-        requests_per_conn,
+        load: LoadConfig {
+            shards,
+            clients,
+            requests_per_conn,
+            ..LoadConfig::default()
+        },
         os_threads,
         ..WallConfig::default()
     };

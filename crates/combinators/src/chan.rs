@@ -6,10 +6,13 @@
 //! a linked list of stream cells, with one `MVar` holding the read end
 //! and one the write end.
 //!
-//! Reads and writes take the end-pointer `MVar` with the §5.1 safe
-//! pattern ([`crate::modify_mvar_with`]), so an asynchronous exception
-//! arriving while a reader waits for data leaves the channel intact —
-//! exactly the exception-safety the paper's combinators exist to provide.
+//! Reads take the read-end `MVar` with the §5.1 safe pattern
+//! ([`crate::modify_mvar_with`]), so an asynchronous exception arriving
+//! while a reader waits for data leaves the channel intact — exactly the
+//! exception-safety the paper's combinators exist to provide. Writes
+//! run fully masked (the §7.4 pattern): a masked writer can only be
+//! interrupted while another writer holds the write end, before it has
+//! taken anything.
 
 use std::marker::PhantomData;
 
@@ -78,11 +81,20 @@ impl<T: FromValue + IntoValue + 'static> Chan<T> {
         })
     }
 
-    /// Appends a value to the channel. Never blocks indefinitely (the
-    /// write-end `MVar` is only held for the duration of a write).
+    /// Appends a value to the channel. Never blocks indefinitely: the
+    /// write-end `MVar` is only held for the duration of a write, and
+    /// the old hole is empty by construction.
+    ///
+    /// The whole write is one masked take → new hole → put → put. After
+    /// the take nothing blocks, so a masked thread cannot be interrupted
+    /// there (§5.3) and the write needs neither an `unblock` window nor
+    /// a rollback: once the write end is taken, the value is delivered.
+    /// The take itself blocks (and is interruptible) only while another
+    /// writer holds the write end, before anything is taken.
     pub fn send(&self, v: T) -> Io<()> {
         let item_payload = v.into_value();
-        modify_mvar_with(self.write_end, move |old_hole: Value| {
+        let write_end = self.write_end;
+        Io::block(write_end.take().and_then(move |old_hole: Value| {
             let old_hole: MVar<Value> = MVar::from_id(
                 old_hole
                     .as_mvar_id()
@@ -91,14 +103,11 @@ impl<T: FromValue + IntoValue + 'static> Chan<T> {
             Io::new_empty_mvar::<Value>().and_then(move |new_hole| {
                 let item =
                     Value::Pair(Box::new(item_payload), Box::new(Value::MVar(new_hole.id())));
-                // Fill the old hole with (v, new_hole); the new write end
-                // is new_hole. putMVar here is non-interruptible: the old
-                // hole is empty by construction (§5.3).
                 old_hole
                     .put(item)
-                    .map(move |_| (Value::MVar(new_hole.id()), ()))
+                    .then(write_end.put(Value::MVar(new_hole.id())))
             })
-        })
+        }))
     }
 
     /// Removes and returns the channel's oldest value, blocking while the
@@ -254,6 +263,40 @@ mod tests {
         let mut rt = Runtime::new();
         let prog = Chan::<i64>::new().and_then(|ch| timeout(20, ch.recv()));
         assert_eq!(rt.run(prog).unwrap(), None);
+    }
+
+    /// A masked sender is killed while it sends: `send` never blocks, so
+    /// under the mask the kill cannot land inside it, and the value must
+    /// arrive on every schedule.
+    #[test]
+    fn masked_send_is_never_lost_to_a_kill() {
+        use conch_explore::{Explorer, RunOutcome, TestCase};
+        fn program() -> Io<(i64, Option<i64>)> {
+            Chan::<i64>::new().and_then(|ch| {
+                Io::new_empty_mvar::<i64>().and_then(move |done| {
+                    let sender = Io::block(ch.send(42).then(done.put(1)));
+                    // Forked from a masked parent, the worker is masked
+                    // from birth: the kill can only be pending.
+                    Io::block(Io::fork(sender)).and_then(move |worker| {
+                        Io::throw_to(worker, Exception::kill_thread())
+                            .then(Io::sleep(10))
+                            .then(done.try_take())
+                            .and_then(move |d| ch.try_recv().map(move |v| (d.unwrap_or(0), v)))
+                    })
+                })
+            })
+        }
+        let result = Explorer::new().check(|| {
+            TestCase::new(
+                program(),
+                |out: &RunOutcome<(i64, Option<i64>)>| match &out.result {
+                    Ok((1, Some(42))) => Ok(()),
+                    other => Err(format!("masked send lost: {other:?}")),
+                },
+            )
+        });
+        let report = result.expect_pass();
+        assert!(report.complete, "{report:?}");
     }
 
     #[test]

@@ -22,14 +22,11 @@ use crate::schedule::Schedule;
 
 /// Which schedule-space reduction the explorer applies.
 ///
-/// All three modes explore the same *behaviours* (every reachable
-/// outcome of every program, at the configured bounds); they differ
-/// only in how many redundant interleavings they execute to get there.
+/// Both modes explore the same *behaviours* (every reachable outcome
+/// of every program, at the configured bounds); they differ only in how
+/// many redundant interleavings they execute to get there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
-    /// No pruning: enumerate every interleaving at the bounds. The
-    /// baseline reductions are measured against.
-    Off,
     /// Sleep sets plus invisible-move fast-forwarding — the historical
     /// default.
     #[default]
@@ -457,7 +454,7 @@ impl Explorer {
                 }
                 frontier.start_round();
             },
-            Strategy::Exhaustive(Reduction::Off | Reduction::SleepSets) => {
+            Strategy::Exhaustive(Reduction::SleepSets) => {
                 worker_loop(self, &frontier, &mut factory)
             }
             sampling => {
@@ -550,7 +547,7 @@ impl Explorer {
                 }
                 frontier.start_round();
             },
-            Strategy::Exhaustive(Reduction::Off | Reduction::SleepSets) => {
+            Strategy::Exhaustive(Reduction::SleepSets) => {
                 std::thread::scope(|s| {
                     for _ in 0..workers {
                         let frontier = &frontier;

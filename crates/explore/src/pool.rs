@@ -24,7 +24,7 @@ use conch_runtime::stats::Stats;
 use conch_runtime::value::FromValue;
 
 use crate::driver::DriverState;
-use crate::explorer::{Explorer, Reduction, Strategy, TestCase};
+use crate::explorer::{Explorer, TestCase};
 use crate::frontier::{dfs_key, Frontier, Node, WorkItem};
 
 /// Balances every `next_item` with a `finish_item`, even if the worker
@@ -50,10 +50,6 @@ where
     F: FnMut() -> TestCase<T>,
 {
     let config = explorer.config();
-    // Under `Reduction::Off` sleep entries are simply never loaded into
-    // the driver, so every alternative is enumerated — the unreduced
-    // baseline the benchmarks measure reductions against.
-    let use_sleep = config.strategy != Strategy::Exhaustive(Reduction::Off);
     // One runtime and one driver state per worker, reset between
     // schedules, so the per-schedule cost is interpretation, not
     // allocation. The `Rc` never leaves this thread.
@@ -86,7 +82,7 @@ where
                 }
                 break 'dfs;
             }
-            load_script(&state, &item, &stack, use_sleep);
+            load_script(&state, &item, &stack);
             let t0 = std::time::Instant::now();
             let (run, schedule) = explorer.run_once(&mut rt, factory(), &state);
             replay_ns += t0.elapsed().as_nanos() as u64;
@@ -137,19 +133,15 @@ where
 
 /// Refill the driver's script and sleep entries for the schedule the
 /// item prefix + stack currently denote.
-fn load_script(state: &Rc<RefCell<DriverState>>, item: &WorkItem, stack: &[Node], use_sleep: bool) {
+fn load_script(state: &Rc<RefCell<DriverState>>, item: &WorkItem, stack: &[Node]) {
     let mut st = state.borrow_mut();
     st.reset();
     st.script.extend_from_slice(&item.prefix);
-    if use_sleep {
-        st.extra_sleep.extend_from_slice(&item.base_sleep);
-    }
+    st.extra_sleep.extend_from_slice(&item.base_sleep);
     let base = item.prefix.len();
     for (i, node) in stack.iter().enumerate() {
         st.script.push(node.choice());
-        if use_sleep {
-            node.each_explored(|entry| st.extra_sleep.push((base + i, entry)));
-        }
+        node.each_explored(|entry| st.extra_sleep.push((base + i, entry)));
     }
 }
 

@@ -159,12 +159,12 @@ pub fn supervised_pool_space() -> Io<(i64, i64, StatsSnapshot)> {
         server: server_config(),
     };
     Listener::bind().and_then(move |l| {
-        start_pooled(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |server| {
+        start_pooled(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |pool| {
             prepared_connection(ConnFault::Stall, "/x").and_then(move |conn| {
                 l.inject(conn)
                     .then(Io::sleep(100))
-                    .then(kill_storm_pooled(&server, &Injector::Explore))
-                    .and_then(move |kills| pooled_probe_and_snapshot(l, server, kills))
+                    .then(kill_storm_pooled(&pool, &Injector::Explore))
+                    .and_then(move |kills| pooled_probe_and_snapshot(l, pool, kills))
             })
         })
     })
@@ -175,7 +175,7 @@ pub fn supervised_pool_space() -> Io<(i64, i64, StatsSnapshot)> {
 /// outlives the audit.
 fn pooled_probe_and_snapshot(
     l: Listener,
-    server: PooledServer,
+    pool: PooledServer,
     fault_code: i64,
 ) -> Io<(i64, i64, StatsSnapshot)> {
     prepared_connection(ConnFault::None, "/probe").and_then(move |conn: Connection| {
@@ -186,13 +186,12 @@ fn pooled_probe_and_snapshot(
                     ClientOutcome::Status(code) => i64::from(code),
                     ClientOutcome::Garbled => -2,
                 };
-                server
+                pool.server
                     .shutdown_sync()
-                    .then(server.drain())
-                    .then(server.stats.snapshot())
+                    .then(pool.server.drain())
+                    .then(pool.server.stats.snapshot())
                     .and_then(move |snap| {
-                        server
-                            .stop_sync()
+                        pool.stop_sync()
                             .map(move |_| (fault_code, probe_code, snap))
                     })
             })

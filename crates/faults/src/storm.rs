@@ -56,9 +56,9 @@ pub fn kill_storm(server: &Server, inj: &Injector) -> Io<i64> {
 /// module docs for why.
 pub fn kill_storm_pooled(server: &PooledServer, inj: &Injector) -> Io<i64> {
     let inj = inj.clone();
-    let server = *server;
-    server.worker_ids().and_then(move |mut tids| {
-        server.pool_supervisor_ids().and_then(move |sups| {
+    let pool = *server;
+    pool.server.worker_ids().and_then(move |mut tids| {
+        pool.pool_supervisor_ids().and_then(move |sups| {
             tids.extend(sups);
             kill_storm_targets(tids, &inj, true)
         })
@@ -177,34 +177,28 @@ mod tests {
         // The root restarts the pool; a follow-up request is served and
         // the counters conserve.
         let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(
-                move |server| {
-                    prepared_connection(ConnFault::Stall, "/x").and_then(move |conn| {
-                        l.inject(conn)
-                            .then(Io::sleep(100))
-                            .then(kill_storm_pooled(&server, &Injector::scripted([1, 1])))
-                            .and_then(move |kills| {
-                                prepared_connection(ConnFault::None, "/again").and_then(
-                                    move |probe| {
-                                        l.inject(probe).then(probe.read_response()).and_then(
-                                            move |resp| {
-                                                server
-                                                    .shutdown_sync()
-                                                    .then(server.drain())
-                                                    .then(server.stats.snapshot())
-                                                    .and_then(move |snap| {
-                                                        server
-                                                            .stop_sync()
-                                                            .map(move |_| (kills, resp, snap))
-                                                    })
-                                            },
-                                        )
-                                    },
-                                )
+            start_pooled(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |pool| {
+                prepared_connection(ConnFault::Stall, "/x").and_then(move |conn| {
+                    l.inject(conn)
+                        .then(Io::sleep(100))
+                        .then(kill_storm_pooled(&pool, &Injector::scripted([1, 1])))
+                        .and_then(move |kills| {
+                            prepared_connection(ConnFault::None, "/again").and_then(move |probe| {
+                                l.inject(probe)
+                                    .then(probe.read_response())
+                                    .and_then(move |resp| {
+                                        pool.server
+                                            .shutdown_sync()
+                                            .then(pool.server.drain())
+                                            .then(pool.server.stats.snapshot())
+                                            .and_then(move |snap| {
+                                                pool.stop_sync().map(move |_| (kills, resp, snap))
+                                            })
+                                    })
                             })
-                    })
-                },
-            )
+                        })
+                })
+            })
         });
         let (kills, resp, snap) = rt.run(prog).unwrap();
         assert_eq!(kills, 2, "worker and pool supervisor both struck");

@@ -154,6 +154,13 @@ fn sharded_pipeline_space_holds_invariants_on_every_schedule() {
     );
     // Struck or spared, each with at least one schedule.
     assert!(report.explored >= 2, "{report:?}");
+    // Exact coverage pin: a serving-code refactor must leave the space
+    // bit-identical.
+    assert_eq!(
+        (report.explored, report.pruned, report.faults_injected),
+        (3, 45, 2),
+        "{report:?}"
+    );
 }
 
 #[test]

@@ -10,15 +10,22 @@
 //! * [`net`] — `MVar`-channel connections and listeners; blocking reads
 //!   and accepts are interruptible operations (§5.3), which is what makes
 //!   the timeouts and the graceful shutdown possible.
-//! * [`server`] — the accept loop, per-connection workers, read/handler
-//!   timeouts, crash-to-500 conversion, counters, graceful shutdown.
+//! * [`server`] — the serving core every front end shares: the request
+//!   guard (parse, handler timeout, crash-to-500), the stats cell and
+//!   its commit point, the worker registry, and the [`server::Server`]
+//!   handle with its shutdown/drain/audit; plus the classic accept loop
+//!   with per-connection workers and `max_active` load shedding.
 //! * [`pool`] — the same serving contract on a supervised worker pool
 //!   (`conch-actors`): a bounded accept queue feeds a fixed set of
 //!   worker actors under a self-healing two-level supervision tree.
 //! * [`shard`] — the production-scale plane: N accept shards with
 //!   per-shard bounded queues and stats cells, keep-alive/pipelined
 //!   [`net::FrameConnection`]s with per-request accounting, batched
-//!   response flushes, and the quiescent-aggregate conservation law.
+//!   response flushes, the quiescent-aggregate conservation law, and
+//!   the synthetic load driver.
+//! * [`parallel`] — the sharded plane on a `MultiRuntime`: one
+//!   scheduler per shard, pinned to its own OS thread, with the
+//!   per-shard aggregates merged over the cross-shard channels.
 //! * [`client`] — load-generating clients: well-behaved, stalling,
 //!   trickling and garbage.
 //!
@@ -46,10 +53,8 @@
 
 pub mod client;
 pub mod http;
-pub mod log;
 pub mod net;
 pub mod parallel;
 pub mod pool;
-pub mod router;
 pub mod server;
 pub mod shard;

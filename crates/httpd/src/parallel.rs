@@ -30,23 +30,15 @@ use conch_runtime::value::{FromValue, IntoValue, Value};
 use conch_runtime::{Io, RuntimeConfig};
 
 use crate::server::{Handler, StatsSnapshot};
-use crate::shard::{per_shard, sharded_load, LoadConfig, ShardConfig};
+use crate::shard::{per_shard, sharded_load, LoadConfig};
 
 /// Shape of a wall-parallel load run.
 #[derive(Debug, Clone, Copy)]
 pub struct WallConfig {
-    /// Accept shards — and independent schedulers.
-    pub shards: usize,
-    /// Total keep-alive connections, split evenly over the shards.
-    pub clients: usize,
-    /// Pipelined requests per connection.
-    pub requests_per_conn: usize,
-    /// Virtual µs between arrivals, per shard.
-    pub arrival_gap: u64,
-    /// Accept-queue bound per shard.
-    pub queue_capacity: i64,
-    /// Per-request budgets.
-    pub server: ShardConfig,
+    /// The load: `load.shards` accept shards — and independent
+    /// schedulers — with `load.clients` keep-alive connections split
+    /// evenly over them.
+    pub load: LoadConfig,
     /// OS threads to spread the shards over (results are identical for
     /// every value; wall time is not).
     pub os_threads: usize,
@@ -59,12 +51,7 @@ pub struct WallConfig {
 impl Default for WallConfig {
     fn default() -> Self {
         WallConfig {
-            shards: 4,
-            clients: 1_000,
-            requests_per_conn: 10,
-            arrival_gap: 100,
-            queue_capacity: 1_024,
-            server: ShardConfig::default(),
+            load: LoadConfig::default(),
             os_threads: 1,
             epoch_us: 10_000,
         }
@@ -97,9 +84,7 @@ impl WallReport {
     /// [`merged`](Self::merged) (which travelled through the channel
     /// plane) is the end-to-end determinism check the bench asserts.
     pub fn host_merged(&self) -> StatsSnapshot {
-        self.per_shard
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, s| acc.merge(s))
+        StatsSnapshot::sum(&self.per_shard)
     }
 }
 
@@ -110,15 +95,13 @@ impl WallReport {
 fn shard_program(cfg: WallConfig, shard: usize, h: Handler) -> impl FnOnce(&ShardCtx) -> Io<Value> {
     move |ctx: &ShardCtx| {
         let load = LoadConfig {
-            clients: per_shard(cfg.clients, cfg.shards, shard),
+            clients: per_shard(cfg.load.clients, cfg.load.shards, shard),
             shards: 1,
-            requests_per_conn: cfg.requests_per_conn,
-            arrival_gap: cfg.arrival_gap,
-            queue_capacity: cfg.queue_capacity,
-            server: cfg.server,
+            ..cfg.load
         };
         let ctx = ctx.clone();
-        sharded_load(h, load).and_then(move |(oks, snap)| {
+        sharded_load(h, load, None).and_then(move |(oks, snaps)| {
+            let snap = snaps[0];
             if ctx.shard() == 0 {
                 let waiting = ctx.shards() - 1;
                 gather(ctx, waiting, oks, snap, (oks, snap))
@@ -153,8 +136,8 @@ fn encode(own: (i64, StatsSnapshot), agg: Option<(i64, StatsSnapshot)>) -> Value
     (own, agg).into_value()
 }
 
-/// Runs the wall-parallel load: `cfg.shards` independent schedulers on
-/// `cfg.os_threads` OS threads.
+/// Runs the wall-parallel load: `cfg.load.shards` independent schedulers
+/// on `cfg.os_threads` OS threads.
 ///
 /// # Panics
 ///
@@ -164,8 +147,9 @@ pub fn wall_parallel_load<F>(make_handler: F, cfg: WallConfig) -> WallReport
 where
     F: Fn() -> Handler + Send + Clone + 'static,
 {
-    assert!(cfg.shards >= 1);
-    let programs: Vec<ShardProgram> = (0..cfg.shards)
+    let shards = cfg.load.shards;
+    assert!(shards >= 1);
+    let programs: Vec<ShardProgram> = (0..shards)
         .map(|shard| {
             let mk = make_handler.clone();
             Box::new(move |ctx: &ShardCtx| shard_program(cfg, shard, mk())(ctx)) as ShardProgram
@@ -179,8 +163,8 @@ where
     });
     let report = mr.run(programs);
 
-    let mut per_shard_snaps = Vec::with_capacity(cfg.shards);
-    let mut oks_per_shard = Vec::with_capacity(cfg.shards);
+    let mut per_shard_snaps = Vec::with_capacity(shards);
+    let mut oks_per_shard = Vec::with_capacity(shards);
     let mut aggregate = None;
     for (i, shard) in report.shards.iter().enumerate() {
         let v = shard
@@ -219,9 +203,12 @@ mod tests {
 
     fn small(shards: usize, os_threads: usize) -> WallConfig {
         WallConfig {
-            shards,
-            clients: 40,
-            requests_per_conn: 5,
+            load: LoadConfig {
+                shards,
+                clients: 40,
+                requests_per_conn: 5,
+                ..LoadConfig::default()
+            },
             os_threads,
             ..WallConfig::default()
         }

@@ -19,15 +19,16 @@
 //!   makes the tree self-healing.
 //!
 //! The counters and the conservation law are unchanged — the same
-//! [`ServerStats`] cell, the same [`finish`] commit point — so the
-//! audit protocol (`shutdown_sync` → `drain` → `snapshot`) and the
-//! invariant `accepted == outcomes` carry over verbatim. The one new
-//! subtlety is the acceptor's two-resource commit: enqueueing into the
-//! mailbox and accounting in the stats cell are different `MVar`s, so
-//! after the enqueue commits the accounting step is guarded by a
-//! commit-then-rethrow `catch` — a `KillThread` landing between the
-//! two commits still accounts the queued connection before the
-//! acceptor dies, keeping `active` and the queue in agreement.
+//! [`Server`] handle and [`ServerStats`] cell, the same [`finish`]
+//! commit point — so the audit protocol (`shutdown_sync` → `drain` →
+//! `snapshot`) and the invariant `accepted == outcomes` carry over
+//! verbatim. The one new subtlety is the acceptor's two-resource
+//! commit: enqueueing into the mailbox and accounting in the stats cell
+//! are different `MVar`s, so after the enqueue commits the accounting
+//! step is guarded by a commit-then-rethrow `catch` — a `KillThread`
+//! landing between the two commits still accounts the queued
+//! connection before the acceptor dies, keeping `active` and the queue
+//! in agreement.
 
 use std::rc::Rc;
 
@@ -35,8 +36,6 @@ use conch_actors::{
     child_spec, spawn_actor_on, spawn_supervisor, supervisor_child, ChildSpec, Mailbox, Strategy,
     Supervisor, SupervisorSpec,
 };
-use conch_combinators::kill_thread;
-use conch_runtime::exception::Exception;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -45,7 +44,8 @@ use conch_runtime::value::{FromValue, IntoValue, Value};
 use crate::http::Response;
 use crate::net::{Connection, Listener};
 use crate::server::{
-    finish, register_worker, serve_one, Handler, Outcome, ServerConfig, ServerStats,
+    finish, new_registry, register_worker, serve_one, Handler, Outcome, Server, ServerConfig,
+    ServerStats,
 };
 
 /// Pool sizing and restart budget, on top of the per-request
@@ -80,60 +80,29 @@ impl Default for PoolConfig {
     }
 }
 
-/// A running pooled server: the acceptor thread, the shared counters,
-/// the accept queue and the supervision tree's root.
+/// A running pooled server: the acceptor, counters and worker registry
+/// (a [`Server`], audited like any other), plus the accept queue and the
+/// supervision tree's root.
 #[derive(Debug, Clone, Copy)]
 pub struct PooledServer {
-    /// The acceptor thread (kill it to stop accepting).
-    pub acceptor: ThreadId,
-    /// Shared counters — same cell, same conservation law as the
-    /// classic server.
-    pub stats: ServerStats,
+    /// The acceptor thread, the shared counters — same cell, same
+    /// conservation law as the classic server — and every worker
+    /// thread ever (re)started, in start order (restarted incarnations
+    /// append).
+    pub server: Server,
     /// The accept queue the workers consume.
     pub queue: Mailbox<Connection>,
     /// Root of the supervision tree. Its single child is the pool
     /// supervisor; the workers are the pool supervisor's children.
     pub root: Supervisor,
-    /// Every worker thread ever (re)started, in start order — the
-    /// registry kill storms aim at. Ids are never removed; throwing to
-    /// a finished worker is a no-op.
-    pub workers: MVar<Value>,
 }
 
 impl PooledServer {
-    /// Stops accepting new connections (queued and in-flight requests
-    /// still finish — the workers outlive the acceptor).
-    pub fn shutdown(&self) -> Io<()> {
-        kill_thread(self.acceptor)
-    }
-
-    /// Stops accepting with the §9 synchronous `throwTo` — the
-    /// audit-grade shutdown: once it returns, `accepted` is final.
-    pub fn shutdown_sync(&self) -> Io<()> {
-        Io::throw_to_sync(self.acceptor, Exception::kill_thread())
-    }
-
     /// Tears the whole tree down: acceptor first (synchronously), then
     /// the root supervisor, whose exit guard reaps the pool supervisor,
     /// whose guard reaps every worker — no orphans.
     pub fn stop_sync(&self) -> Io<()> {
-        self.shutdown_sync().then(self.root.shutdown_sync())
-    }
-
-    /// Waits (by polling) until no connection is queued or in flight.
-    /// A worker's outcome commits in the same transaction as its
-    /// `active` decrement, so returning means every outcome is visible.
-    pub fn drain(&self) -> Io<()> {
-        crate::server::wait_active_zero(self.stats)
-    }
-
-    /// Every worker thread id ever started, in start order (restarted
-    /// incarnations append).
-    pub fn worker_ids(&self) -> Io<Vec<ThreadId>> {
-        conch_combinators::with_mvar(self.workers, Io::pure).map(|v| match v {
-            Value::List(xs) => xs.into_iter().filter_map(|x| x.as_thread_id()).collect(),
-            _ => Vec::new(),
-        })
+        self.server.shutdown_sync().then(self.root.shutdown_sync())
     }
 
     /// The *current* pool-supervisor incarnation's thread ids — the
@@ -149,11 +118,9 @@ impl PooledServer {
 impl IntoValue for PooledServer {
     fn into_value(self) -> Value {
         Value::List(vec![
-            Value::ThreadId(self.acceptor),
-            self.stats.into_value(),
+            self.server.into_value(),
             self.queue.into_value(),
             self.root.into_value(),
-            self.workers.into_value(),
         ])
     }
 }
@@ -161,14 +128,12 @@ impl IntoValue for PooledServer {
 impl FromValue for PooledServer {
     fn from_value(v: Value) -> Option<Self> {
         match v {
-            Value::List(xs) if xs.len() == 5 => {
+            Value::List(xs) if xs.len() == 3 => {
                 let mut it = xs.into_iter();
                 Some(PooledServer {
-                    acceptor: it.next()?.as_thread_id()?,
-                    stats: ServerStats::from_value(it.next()?)?,
+                    server: Server::from_value(it.next()?)?,
                     queue: Mailbox::from_value(it.next()?)?,
                     root: Supervisor::from_value(it.next()?)?,
-                    workers: MVar::from_value(it.next()?)?,
                 })
             }
             _ => None,
@@ -180,7 +145,7 @@ impl FromValue for PooledServer {
 /// the workers), then forks the acceptor.
 pub fn start_pooled(listener: Listener, h: Handler, config: PoolConfig) -> Io<PooledServer> {
     ServerStats::new().and_then(move |stats| {
-        Io::new_mvar(Value::List(Vec::new())).and_then(move |workers| {
+        new_registry().and_then(move |workers| {
             Mailbox::<Connection>::new(config.queue_capacity).and_then(move |queue| {
                 let mut pool = SupervisorSpec::new(Strategy::OneForOne)
                     .intensity(config.max_restarts, config.window);
@@ -199,11 +164,13 @@ pub fn start_pooled(listener: Listener, h: Handler, config: PoolConfig) -> Io<Po
                 spawn_supervisor(root).and_then(move |root| {
                     Io::fork(pool_accept_loop(listener, queue, config.server, stats)).map(
                         move |acceptor| PooledServer {
-                            acceptor,
-                            stats,
+                            server: Server {
+                                acceptor,
+                                stats,
+                                workers,
+                            },
                             queue,
                             root,
-                            workers,
                         },
                     )
                 })
@@ -328,16 +295,16 @@ mod tests {
     fn pooled_server_serves_requests() {
         let mut rt = Runtime::new();
         let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), small_pool()).and_then(move |server| {
+            start_pooled(l, hello(), small_pool()).and_then(move |pool| {
                 l.connect().and_then(move |conn| {
                     conn.send_text(Request::get("/pool").render())
                         .then(conn.read_response())
                         .and_then(move |resp| {
-                            server
+                            pool.server
                                 .shutdown_sync()
-                                .then(server.drain())
-                                .then(server.stats.snapshot())
-                                .and_then(move |snap| server.stop_sync().map(move |_| (resp, snap)))
+                                .then(pool.server.drain())
+                                .then(pool.server.stats.snapshot())
+                                .and_then(move |snap| pool.stop_sync().map(move |_| (resp, snap)))
                         })
                 })
             })
@@ -361,7 +328,7 @@ mod tests {
             ..PoolConfig::default()
         };
         let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), cfg).and_then(move |server| {
+            start_pooled(l, hello(), cfg).and_then(move |pool| {
                 conch_runtime::io::for_each(n as u64, move |i| {
                     let client = l.connect().and_then(move |conn| {
                         conn.send_text(Request::get(format!("/{i}")).render())
@@ -370,11 +337,11 @@ mod tests {
                     });
                     Io::fork(client)
                 })
-                .then(wait_served(server.stats, n))
-                .then(server.shutdown_sync())
-                .then(server.drain())
-                .then(server.stats.snapshot())
-                .and_then(move |snap| server.stop_sync().map(move |_| snap))
+                .then(wait_served(pool.server.stats, n))
+                .then(pool.server.shutdown_sync())
+                .then(pool.server.drain())
+                .then(pool.server.stats.snapshot())
+                .and_then(move |snap| pool.stop_sync().map(move |_| snap))
             })
         });
         fn wait_served(stats: ServerStats, n: i64) -> Io<()> {
@@ -406,7 +373,7 @@ mod tests {
         };
         let mut rt = Runtime::new();
         let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), cfg).and_then(move |server| {
+            start_pooled(l, hello(), cfg).and_then(move |pool| {
                 // First conn: worker picks it up and parks in the read.
                 l.connect().and_then(move |stall1| {
                     Io::sleep(200)
@@ -422,7 +389,7 @@ mod tests {
                                         .and_then(move |resp| {
                                             stall1
                                                 .close()
-                                                .then(server.stats.snapshot())
+                                                .then(pool.server.stats.snapshot())
                                                 .map(move |snap| (resp, snap))
                                         })
                                 })
@@ -449,27 +416,27 @@ mod tests {
                     ..PoolConfig::default()
                 },
             )
-            .and_then(move |server| {
+            .and_then(move |pool| {
                 // Serve one request, then kill the (only) worker, then
                 // serve another: the restarted incarnation answers it.
                 l.connect().and_then(move |c1| {
                     c1.send_text(Request::get("/a").render())
                         .then(c1.read_response())
-                        .then(server.worker_ids())
+                        .then(pool.server.worker_ids())
                         .and_then(move |tids| {
                             Io::throw_to_sync(tids[0], Exception::kill_thread())
-                                .then(wait_workers(server, 2))
+                                .then(wait_workers(pool, 2))
                                 .then(l.connect())
                                 .and_then(move |c2| {
                                     c2.send_text(Request::get("/b").render())
                                         .then(c2.read_response())
                                         .and_then(move |resp| {
-                                            server
+                                            pool.server
                                                 .shutdown_sync()
-                                                .then(server.drain())
-                                                .then(server.stats.snapshot())
+                                                .then(pool.server.drain())
+                                                .then(pool.server.stats.snapshot())
                                                 .and_then(move |snap| {
-                                                    server.stop_sync().map(move |_| (resp, snap))
+                                                    pool.stop_sync().map(move |_| (resp, snap))
                                                 })
                                         })
                                 })
@@ -477,12 +444,12 @@ mod tests {
                 })
             })
         });
-        fn wait_workers(server: PooledServer, n: usize) -> Io<()> {
-            server.worker_ids().and_then(move |tids| {
+        fn wait_workers(pool: PooledServer, n: usize) -> Io<()> {
+            pool.server.worker_ids().and_then(move |tids| {
                 if tids.len() >= n {
                     Io::unit()
                 } else {
-                    Io::sleep(50).then(wait_workers(server, n))
+                    Io::sleep(50).then(wait_workers(pool, n))
                 }
             })
         }
@@ -496,28 +463,28 @@ mod tests {
     fn killed_pool_supervisor_heals_and_service_resumes() {
         let mut rt = Runtime::new();
         let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), small_pool()).and_then(move |server| {
+            start_pooled(l, hello(), small_pool()).and_then(move |pool| {
                 l.connect().and_then(move |c1| {
                     c1.send_text(Request::get("/a").render())
                         .then(c1.read_response())
-                        .then(server.pool_supervisor_ids())
+                        .then(pool.pool_supervisor_ids())
                         .and_then(move |sups| {
                             assert_eq!(sups.len(), 1, "one pool supervisor expected");
                             // Kill the pool supervisor: its guard reaps
                             // the workers, the root restarts the pool.
                             Io::throw_to_sync(sups[0], Exception::kill_thread())
-                                .then(wait_new_sup(server, sups[0]))
+                                .then(wait_new_sup(pool, sups[0]))
                                 .then(l.connect())
                                 .and_then(move |c2| {
                                     c2.send_text(Request::get("/b").render())
                                         .then(c2.read_response())
                                         .and_then(move |resp| {
-                                            server
+                                            pool.server
                                                 .shutdown_sync()
-                                                .then(server.drain())
-                                                .then(server.stats.snapshot())
+                                                .then(pool.server.drain())
+                                                .then(pool.server.stats.snapshot())
                                                 .and_then(move |snap| {
-                                                    server.stop_sync().map(move |_| (resp, snap))
+                                                    pool.stop_sync().map(move |_| (resp, snap))
                                                 })
                                         })
                                 })
@@ -525,12 +492,12 @@ mod tests {
                 })
             })
         });
-        fn wait_new_sup(server: PooledServer, old: conch_runtime::ids::ThreadId) -> Io<()> {
-            server.pool_supervisor_ids().and_then(move |sups| {
+        fn wait_new_sup(pool: PooledServer, old: conch_runtime::ids::ThreadId) -> Io<()> {
+            pool.pool_supervisor_ids().and_then(move |sups| {
                 if sups.len() == 1 && sups[0] != old {
                     Io::unit()
                 } else {
-                    Io::sleep(50).then(wait_new_sup(server, old))
+                    Io::sleep(50).then(wait_new_sup(pool, old))
                 }
             })
         }
@@ -544,17 +511,17 @@ mod tests {
     fn stop_sync_reaps_every_worker() {
         let mut rt = Runtime::new();
         let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), small_pool()).and_then(move |server| {
-                wait_pool_started(server)
-                    .and_then(move |pools| server.stop_sync().then(wait_pool_dead(pools[0])))
+            start_pooled(l, hello(), small_pool()).and_then(move |pool| {
+                wait_pool_started(pool)
+                    .and_then(move |pools| pool.stop_sync().then(wait_pool_dead(pools[0])))
             })
         });
         // The tree starts asynchronously; wait for the root to record
         // its pool-supervisor child before aiming at it.
-        fn wait_pool_started(server: PooledServer) -> Io<Vec<conch_actors::ActorRef<Value>>> {
-            server.root.child_refs().and_then(move |pools| {
+        fn wait_pool_started(pool: PooledServer) -> Io<Vec<conch_actors::ActorRef<Value>>> {
+            pool.root.child_refs().and_then(move |pools| {
                 if pools.is_empty() {
-                    Io::sleep(50).then(wait_pool_started(server))
+                    Io::sleep(50).then(wait_pool_started(pool))
                 } else {
                     Io::pure(pools)
                 }

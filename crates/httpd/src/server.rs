@@ -24,7 +24,7 @@
 
 use std::rc::Rc;
 
-use conch_combinators::{kill_thread, modify_mvar_masked, timeout};
+use conch_combinators::{kill_thread, timeout, Either};
 use conch_runtime::exception::Exception;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
@@ -161,6 +161,13 @@ impl StatsSnapshot {
         self.killed += other.killed;
         self.shed += other.shed;
         self
+    }
+
+    /// The field-wise sum of many snapshots (see [`merge`](Self::merge)).
+    pub fn sum<'a>(snaps: impl IntoIterator<Item = &'a StatsSnapshot>) -> StatsSnapshot {
+        snaps
+            .into_iter()
+            .fold(StatsSnapshot::default(), |acc, s| acc.merge(s))
     }
 }
 
@@ -326,7 +333,10 @@ impl FromValue for Server {
     }
 }
 
-/// A running server: the acceptor's thread id plus the shared counters.
+/// A running server: the acceptor's thread id plus the shared counters
+/// and worker registry. The classic server, the pooled server and every
+/// shard of the sharded plane are each one `Server`, so they share one
+/// shutdown, drain and audit.
 #[derive(Debug, Clone, Copy)]
 pub struct Server {
     /// The acceptor thread (kill it to stop accepting).
@@ -341,6 +351,22 @@ pub struct Server {
 }
 
 impl Server {
+    /// Allocates a fresh stats cell and worker registry, then forks the
+    /// acceptor that `acceptor` builds from them.
+    pub(crate) fn spawn(
+        acceptor: impl FnOnce(ServerStats, MVar<Value>) -> Io<()> + 'static,
+    ) -> Io<Server> {
+        ServerStats::new().and_then(move |stats| {
+            new_registry().and_then(move |workers| {
+                Io::fork(acceptor(stats, workers)).map(move |acceptor| Server {
+                    acceptor,
+                    stats,
+                    workers,
+                })
+            })
+        })
+    }
+
     /// Stops accepting new connections (in-flight requests finish).
     ///
     /// `accept` blocks on an `MVar`, an interruptible operation, so the
@@ -374,7 +400,14 @@ impl Server {
     /// returning means every finished connection's outcome is already
     /// visible.
     pub fn drain(&self) -> Io<()> {
-        wait_active_zero(self.stats)
+        let server = *self;
+        self.stats.snapshot().and_then(move |s| {
+            if s.active == 0 {
+                Io::unit()
+            } else {
+                Io::sleep(100).then(server.drain())
+            }
+        })
     }
 
     /// Every worker thread id the acceptor ever forked, in fork order.
@@ -386,48 +419,32 @@ impl Server {
     }
 }
 
-/// Polls a stats cell until `active == 0` — the drain shared by the
-/// classic server, the pooled server and every shard of the sharded
-/// plane. Because an outcome is recorded in the *same transaction* as
-/// its active decrement, this returning means every finished request's
-/// outcome is already visible in the cell.
-pub(crate) fn wait_active_zero(stats: ServerStats) -> Io<()> {
-    stats.snapshot().and_then(move |s| {
-        if s.active == 0 {
-            Io::unit()
-        } else {
-            Io::sleep(100).then(wait_active_zero(stats))
-        }
-    })
-}
-
 /// Starts the server: forks the acceptor loop and returns immediately.
 pub fn start(listener: Listener, h: Handler, config: ServerConfig) -> Io<Server> {
-    ServerStats::new().and_then(move |stats| {
-        Io::new_mvar(Value::List(Vec::new())).and_then(move |workers| {
-            Io::fork(accept_loop(listener, h, config, stats, workers)).map(move |acceptor| Server {
-                acceptor,
-                stats,
-                workers,
-            })
-        })
-    })
+    Server::spawn(move |stats, workers| accept_loop(listener, h, config, stats, workers))
 }
 
-/// Appends a freshly forked worker's id to the registry. The masked
-/// modify keeps the acceptor's `block` section free of `unblock`
-/// windows; if a `KillThread` still lands while the registry `take`
-/// blocks, the worker is already forked and accounted — it merely goes
-/// unregistered, which only makes it invisible to kill storms.
+/// An empty worker registry.
+pub(crate) fn new_registry() -> Io<MVar<Value>> {
+    Io::new_mvar(Value::List(Vec::new()))
+}
+
+/// Appends a freshly forked worker's id to the registry. The push is
+/// pure and runs entirely masked between `take` and `put`: it cannot
+/// throw, so there is nothing to roll back and no copy of the list to
+/// keep (a rollback copy per append is O(n²) over a server's life). A
+/// kill can only land while `take` still waits, before the value is
+/// held; the worker is then already forked and accounted — it merely
+/// goes unregistered, which only makes it invisible to kill storms.
 pub(crate) fn register_worker(workers: MVar<Value>, tid: ThreadId) -> Io<()> {
-    modify_mvar_masked(workers, move |v| {
+    Io::block(workers.take().and_then(move |v| {
         let mut xs = match v {
             Value::List(xs) => xs,
             _ => Vec::new(),
         };
         xs.push(Value::ThreadId(tid));
-        Io::pure(Value::List(xs))
-    })
+        workers.put(Value::List(xs))
+    }))
 }
 
 /// The acceptor: accept, account, shed or fork a worker, loop. The
@@ -523,52 +540,17 @@ pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<()> {
         .catch(move |_| finish(stats, outcome))
 }
 
+/// Serves one single-shot connection: read the request under the read
+/// budget (`408` if it lapses), then [`serve_request`], then send.
 pub(crate) fn serve_one(conn: Connection, h: Handler, config: ServerConfig) -> Io<Outcome> {
-    let main = timeout(config.read_timeout, conn.read_request_text()).and_then(move |text| {
-        match text {
+    let main =
+        timeout(config.read_timeout, conn.read_request_text()).and_then(move |text| match text {
             None => conn
                 .send_response(Response::status(408).render())
                 .map(|_| Outcome::ReadTimeout),
-            Some(text) => match parse_request(&text) {
-                Err(_) => conn
-                    .send_response(Response::status(400).render())
-                    .map(|_| Outcome::ParseError),
-                Ok(req) => {
-                    // §9 warns that a universal `catch` inside timed code can
-                    // intercept the timeout mechanism itself. Our `timeout`
-                    // kills the racing computation with KillThread, so the
-                    // handler guard must re-throw that and convert only
-                    // genuine handler failures into 500s. The guard *tags*
-                    // the outcome (Left = crashed, Right = answered) so that
-                    // exactly one outcome is reported per request.
-                    let guarded = h(req)
-                        .map(conch_combinators::Either::<Response, Response>::Right)
-                        .catch(move |e| {
-                            if e.is_kill_thread() {
-                                Io::throw(e)
-                            } else {
-                                Io::pure(conch_combinators::Either::Left(Response {
-                                    status: 500,
-                                    body: format!("handler failed: {e}"),
-                                    retry_after: None,
-                                }))
-                            }
-                        });
-                    timeout(config.handler_timeout, guarded).and_then(move |resp| match resp {
-                        None => conn
-                            .send_response(Response::status(504).render())
-                            .map(|_| Outcome::HandlerTimeout),
-                        Some(conch_combinators::Either::Right(resp)) => {
-                            conn.send_response(resp.render()).map(|_| Outcome::Served)
-                        }
-                        Some(conch_combinators::Either::Left(resp)) => conn
-                            .send_response(resp.render())
-                            .map(|_| Outcome::HandlerError),
-                    })
-                }
-            },
-        }
-    });
+            Some(text) => serve_request(text, h, config.handler_timeout)
+                .and_then(move |(outcome, resp)| conn.send_response(resp).map(move |_| outcome)),
+        });
     // A peer that closes mid-request is an aborted connection, not a
     // server failure: account it and send nothing (nobody is reading).
     main.catch(move |e| {
@@ -578,6 +560,45 @@ pub(crate) fn serve_one(conn: Connection, h: Handler, config: ServerConfig) -> I
             Io::throw(e)
         }
     })
+}
+
+/// The request guard every front end shares: parse (`400` on failure),
+/// run the handler under `handler_timeout` (`504` if it lapses) and turn
+/// a crashed handler into a `500`. Returns the outcome with the rendered
+/// response; the caller owns sending it.
+///
+/// §9 warns that a universal `catch` inside timed code can intercept the
+/// timeout mechanism itself. Our `timeout` kills the racing computation
+/// with `KillThread`, so the guard re-throws that and converts only
+/// genuine handler failures into 500s. It *tags* the outcome (`Left` =
+/// crashed, `Right` = answered) so that exactly one outcome is reported
+/// per request.
+pub(crate) fn serve_request(
+    text: String,
+    h: Handler,
+    handler_timeout: u64,
+) -> Io<(Outcome, String)> {
+    match parse_request(&text) {
+        Err(_) => Io::pure((Outcome::ParseError, Response::status(400).render())),
+        Ok(req) => {
+            let guarded = h(req).map(Either::<Response, Response>::Right).catch(|e| {
+                if e.is_kill_thread() {
+                    Io::throw(e)
+                } else {
+                    Io::pure(Either::Left(Response {
+                        status: 500,
+                        body: format!("handler failed: {e}"),
+                        retry_after: None,
+                    }))
+                }
+            });
+            timeout(handler_timeout, guarded).map(|resp| match resp {
+                None => (Outcome::HandlerTimeout, Response::status(504).render()),
+                Some(Either::Right(r)) => (Outcome::Served, r.render()),
+                Some(Either::Left(r)) => (Outcome::HandlerError, r.render()),
+            })
+        }
+    }
 }
 
 #[cfg(test)]

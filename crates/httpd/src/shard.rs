@@ -45,16 +45,17 @@
 use std::rc::Rc;
 
 use conch_actors::Mailbox;
-use conch_combinators::{timeout, Chan, Either};
-use conch_runtime::exception::Exception;
+use conch_combinators::{timeout, Chan};
 use conch_runtime::ids::ThreadId;
-use conch_runtime::io::{for_each, Io};
+use conch_runtime::io::{for_each, sequence, Io};
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 
-use crate::http::{parse_request, Request, Response};
+use crate::http::{Request, Response};
 use crate::net::FrameConnection;
-use crate::server::{finish, wait_active_zero, Handler, Outcome, ServerStats, StatsSnapshot};
+use crate::server::{
+    finish, register_worker, serve_request, Handler, Outcome, Server, ServerStats, StatsSnapshot,
+};
 
 /// Per-request budgets for the sharded plane (virtual microseconds).
 /// Queue capacity is a property of the [`ShardedListener`]; shard count
@@ -93,16 +94,8 @@ impl ShardedListener {
     /// Binds `shards` accept queues of `queue_capacity` connections each.
     pub fn bind(shards: usize, queue_capacity: i64) -> Io<ShardedListener> {
         assert!(shards >= 1, "a sharded listener needs at least one shard");
-        let mut io: Io<Vec<Mailbox<FrameConnection>>> = Io::pure(Vec::new());
-        for _ in 0..shards {
-            io = io.and_then(move |mut qs| {
-                Mailbox::<FrameConnection>::new(queue_capacity).map(move |q| {
-                    qs.push(q);
-                    qs
-                })
-            });
-        }
-        io.map(|queues| ShardedListener { queues })
+        sequence((0..shards).map(|_| Mailbox::new(queue_capacity)).collect())
+            .map(|queues| ShardedListener { queues })
     }
 
     pub fn shard_count(&self) -> usize {
@@ -144,46 +137,13 @@ impl FromValue for ShardedListener {
     }
 }
 
-/// One shard of a running [`ShardedServer`]: its acceptor thread, its
-/// private stats cell, and its worker registry (every connection
-/// handler the acceptor ever forked — kill-storm targets).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardHandle {
-    pub acceptor: ThreadId,
-    pub stats: ServerStats,
-    pub workers: MVar<Value>,
-}
-
-impl IntoValue for ShardHandle {
-    fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::ThreadId(self.acceptor),
-            self.stats.into_value(),
-            self.workers.into_value(),
-        ])
-    }
-}
-
-impl FromValue for ShardHandle {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 3 => {
-                let mut it = xs.into_iter();
-                Some(ShardHandle {
-                    acceptor: it.next()?.as_thread_id()?,
-                    stats: ServerStats::from_value(it.next()?)?,
-                    workers: MVar::from_value(it.next()?)?,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A running sharded server: one [`ShardHandle`] per accept shard.
+/// A running sharded server: one [`Server`] per accept shard — its
+/// acceptor thread, its private stats cell, and its worker registry
+/// (every connection handler the acceptor ever forked — kill-storm
+/// targets).
 #[derive(Debug, Clone)]
 pub struct ShardedServer {
-    pub shards: Vec<ShardHandle>,
+    pub shards: Vec<Server>,
 }
 
 impl IntoValue for ShardedServer {
@@ -195,7 +155,7 @@ impl IntoValue for ShardedServer {
 impl FromValue for ShardedServer {
     fn from_value(v: Value) -> Option<Self> {
         Some(ShardedServer {
-            shards: Vec::<ShardHandle>::from_value(v)?,
+            shards: Vec::<Server>::from_value(v)?,
         })
     }
 }
@@ -206,11 +166,9 @@ impl ShardedServer {
     /// shard can account another connection, so each shard's `accepted`
     /// is final (in-flight requests still run to their outcome).
     pub fn shutdown_sync(&self) -> Io<()> {
-        let mut io = Io::unit();
-        for sh in &self.shards {
-            io = io.then(Io::throw_to_sync(sh.acceptor, Exception::kill_thread()));
-        }
-        io
+        self.shards
+            .iter()
+            .fold(Io::unit(), |io, sh| io.then(sh.shutdown_sync()))
     }
 
     /// Waits until every shard has `active == 0`. Shards quiesce
@@ -218,11 +176,9 @@ impl ShardedServer {
     /// never rises again after [`shutdown_sync`](Self::shutdown_sync)
     /// has returned and the shard's own queue has drained.
     pub fn drain(&self) -> Io<()> {
-        let mut io = Io::unit();
-        for sh in &self.shards {
-            io = io.then(wait_active_zero(sh.stats));
-        }
-        io
+        self.shards
+            .iter()
+            .fold(Io::unit(), |io, sh| io.then(sh.drain()))
     }
 
     /// The quiescent aggregate: per-shard snapshots summed with
@@ -230,90 +186,31 @@ impl ShardedServer {
     /// witness only after `shutdown_sync` + `drain` (each cell must be
     /// final); the explorer space certifies exactly that protocol.
     pub fn aggregate(&self) -> Io<StatsSnapshot> {
-        let mut io = Io::pure(StatsSnapshot::default());
-        for sh in &self.shards {
-            let stats = sh.stats;
-            io = io.and_then(move |acc| stats.snapshot().map(move |s| acc.merge(&s)));
-        }
-        io
+        self.aggregate_per_shard()
+            .map(|snaps| StatsSnapshot::sum(&snaps))
     }
 
     /// The per-shard quiescent snapshots, in shard order — the
     /// imbalance probe behind the skewed-arrival bench row. Same
     /// quiescence caveat as [`aggregate`](Self::aggregate).
     pub fn aggregate_per_shard(&self) -> Io<Vec<StatsSnapshot>> {
-        let mut io: Io<Vec<StatsSnapshot>> = Io::pure(Vec::new());
-        for sh in &self.shards {
-            let stats = sh.stats;
-            io = io.and_then(move |mut acc| {
-                stats.snapshot().map(move |s| {
-                    acc.push(s);
-                    acc
-                })
-            });
-        }
-        io
+        sequence(self.shards.iter().map(|sh| sh.stats.snapshot()).collect())
     }
 
     /// Every connection-handler thread id ever forked, across all
     /// shards in shard order — the kill-storm target list.
     pub fn worker_ids(&self) -> Io<Vec<ThreadId>> {
-        let mut io: Io<Vec<ThreadId>> = Io::pure(Vec::new());
-        for sh in &self.shards {
-            let workers = sh.workers;
-            io = io.and_then(move |mut acc| {
-                conch_combinators::with_mvar(workers, Io::pure).map(move |v| {
-                    if let Value::List(xs) = v {
-                        acc.extend(xs.into_iter().filter_map(|x| x.as_thread_id()));
-                    }
-                    acc
-                })
-            });
-        }
-        io
+        sequence(self.shards.iter().map(Server::worker_ids).collect()).map(|ids| ids.concat())
     }
 }
 
 /// Starts one accept loop + stats cell per listener shard.
 pub fn start_sharded(l: &ShardedListener, h: Handler, cfg: ShardConfig) -> Io<ShardedServer> {
-    let mut io: Io<Vec<ShardHandle>> = Io::pure(Vec::new());
-    for q in l.queues.iter().copied() {
+    let shards = l.queues.iter().map(|&q| {
         let h = Rc::clone(&h);
-        io = io.and_then(move |mut shards| {
-            ServerStats::new().and_then(move |stats| {
-                Io::new_mvar(Value::List(Vec::new())).and_then(move |workers| {
-                    Io::fork(shard_accept_loop(q, h, cfg, stats, workers)).map(move |acceptor| {
-                        shards.push(ShardHandle {
-                            acceptor,
-                            stats,
-                            workers,
-                        });
-                        shards
-                    })
-                })
-            })
-        });
-    }
-    io.map(|shards| ShardedServer { shards })
-}
-
-/// Appends a worker to the shard's registry without the rollback clone
-/// the classic plane's `register_worker` pays. The combinators restore
-/// the taken value if the update throws, which costs a full copy of the
-/// accumulated list *per accept* — O(n²) over a shard's lifetime, and
-/// the measured dominant cost at 100k connections per shard. Here the
-/// update is a pure push running entirely masked between `take` and
-/// `put`: it cannot throw, so there is nothing to roll back. A kill can
-/// only land while `take` still waits, before the value is held.
-fn register_worker(workers: MVar<Value>, tid: ThreadId) -> Io<()> {
-    Io::block(workers.take().and_then(move |v| {
-        let mut xs = match v {
-            Value::List(xs) => xs,
-            _ => Vec::new(),
-        };
-        xs.push(Value::ThreadId(tid));
-        workers.put(Value::List(xs))
-    }))
+        Server::spawn(move |stats, workers| shard_accept_loop(q, h, cfg, stats, workers))
+    });
+    sequence(shards.collect()).map(|shards| ShardedServer { shards })
 }
 
 /// One shard's acceptor: pop a connection, fork its handler, loop.
@@ -386,7 +283,7 @@ fn conn_loop(
                 s.active += 1;
             })
             .then(
-                Io::unblock(serve_request(req_text, h, cfg))
+                Io::unblock(serve_request(req_text, h, cfg.handler_timeout))
                     .catch(|_| Io::pure((Outcome::Killed, String::new()))),
             )
             .and_then(move |(outcome, resp)| {
@@ -454,35 +351,6 @@ fn conn_loop(
     )
 }
 
-/// Serves one already-parsed-out request text, unmasked. Mirrors the
-/// classic `serve_one` guard choreography (§9: re-throw the timeout
-/// mechanism's `KillThread`, convert genuine handler failures to 500s)
-/// but returns the rendered response instead of sending it — the
-/// masked loop owns the response buffer and the flush policy.
-fn serve_request(text: String, h: Handler, cfg: ShardConfig) -> Io<(Outcome, String)> {
-    match parse_request(&text) {
-        Err(_) => Io::pure((Outcome::ParseError, Response::status(400).render())),
-        Ok(req) => {
-            let guarded = h(req).map(Either::<Response, Response>::Right).catch(|e| {
-                if e.is_kill_thread() {
-                    Io::throw(e)
-                } else {
-                    Io::pure(Either::Left(Response {
-                        status: 500,
-                        body: format!("handler failed: {e}"),
-                        retry_after: None,
-                    }))
-                }
-            });
-            timeout(cfg.handler_timeout, guarded).map(|resp| match resp {
-                None => (Outcome::HandlerTimeout, Response::status(504).render()),
-                Some(Either::Right(r)) => (Outcome::Served, r.render()),
-                Some(Either::Left(r)) => (Outcome::HandlerError, r.render()),
-            })
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // The synthetic production-scale load driver
 // ---------------------------------------------------------------------
@@ -516,21 +384,34 @@ impl Default for LoadConfig {
     }
 }
 
-/// Runs the full load against `h` and returns `(oks, aggregate)`:
-/// the number of `200` responses every client collected, and the
-/// quiescent-aggregate snapshot after the audit protocol. Per shard
-/// one feeder thread paces connections in and one collector thread
-/// reads each connection's single batched response frame; the whole
-/// run quiesces before the aggregate is taken, so
-/// `aggregate.conserved()` is the conservation-law verdict.
-pub fn sharded_load(h: Handler, cfg: LoadConfig) -> Io<(i64, StatsSnapshot)> {
+/// Runs the full load against `h` and returns `(oks, per_shard)`: the
+/// number of `200` responses every client collected, and each shard's
+/// quiescent snapshot (in shard order) after the audit protocol. Per
+/// shard one feeder thread paces connections in and one collector
+/// thread reads each connection's single batched response frame; the
+/// whole run quiesces before the snapshots are taken, so
+/// `StatsSnapshot::sum(&per_shard).conserved()` is the
+/// conservation-law verdict.
+///
+/// Clients split evenly over the shards, or, with `hot_percent`, that
+/// percentage of them arrives on shard 0 and the rest split evenly over
+/// the others — the per-shard snapshots then expose the `accepted`
+/// imbalance the skew creates.
+pub fn sharded_load(
+    h: Handler,
+    cfg: LoadConfig,
+    hot_percent: Option<usize>,
+) -> Io<(i64, Vec<StatsSnapshot>)> {
     assert!(cfg.shards >= 1 && cfg.requests_per_conn >= 1);
     ShardedListener::bind(cfg.shards, cfg.queue_capacity).and_then(move |l| {
         start_sharded(&l, h, cfg.server).and_then(move |server| {
             Chan::<i64>::new().and_then(move |report| {
                 let mut forks = Io::unit();
                 for shard in 0..cfg.shards {
-                    let conns = per_shard(cfg.clients, cfg.shards, shard) as u64;
+                    let conns = match hot_percent {
+                        None => per_shard(cfg.clients, cfg.shards, shard),
+                        Some(hot) => per_shard_skewed(cfg.clients, cfg.shards, shard, hot),
+                    } as u64;
                     let q = l.queue(shard);
                     forks = forks.then(Chan::<FrameConnection>::new().and_then(move |pipe| {
                         Io::fork(feeder(q, pipe, conns, cfg))
@@ -544,8 +425,8 @@ pub fn sharded_load(h: Handler, cfg: LoadConfig) -> Io<(i64, StatsSnapshot)> {
                         server
                             .shutdown_sync()
                             .then(server.drain())
-                            .then(server.aggregate())
-                            .map(move |agg| (oks, agg))
+                            .then(server.aggregate_per_shard())
+                            .map(move |per_shard| (oks, per_shard))
                     })
             })
         })
@@ -562,7 +443,7 @@ pub(crate) fn per_shard(clients: usize, shards: usize, i: usize) -> usize {
 /// 0 is the hot shard taking `hot_percent`% of all clients, the rest
 /// split the remainder evenly (remainder-of-the-remainder to the
 /// lowest-numbered cold shards). With one shard the skew is vacuous.
-pub fn per_shard_skewed(clients: usize, shards: usize, i: usize, hot_percent: usize) -> usize {
+fn per_shard_skewed(clients: usize, shards: usize, i: usize, hot_percent: usize) -> usize {
     assert!(hot_percent <= 100);
     if shards == 1 {
         return clients;
@@ -572,50 +453,6 @@ pub fn per_shard_skewed(clients: usize, shards: usize, i: usize, hot_percent: us
         return hot;
     }
     per_shard(clients - hot, shards - 1, i - 1)
-}
-
-/// [`sharded_load`] with a skewed client split: `hot_percent`% of the
-/// clients arrive on shard 0 (see [`per_shard_skewed`]). Returns
-/// `(oks, aggregate, per_shard)` — the per-shard quiescent snapshots
-/// expose the `accepted` imbalance the skew creates, the measurement
-/// baseline for future cross-shard balancing.
-pub fn sharded_load_skewed(
-    h: Handler,
-    cfg: LoadConfig,
-    hot_percent: usize,
-) -> Io<(i64, StatsSnapshot, Vec<StatsSnapshot>)> {
-    assert!(cfg.shards >= 1 && cfg.requests_per_conn >= 1);
-    ShardedListener::bind(cfg.shards, cfg.queue_capacity).and_then(move |l| {
-        start_sharded(&l, h, cfg.server).and_then(move |server| {
-            Chan::<i64>::new().and_then(move |report| {
-                let mut forks = Io::unit();
-                for shard in 0..cfg.shards {
-                    let conns =
-                        per_shard_skewed(cfg.clients, cfg.shards, shard, hot_percent) as u64;
-                    let q = l.queue(shard);
-                    forks = forks.then(Chan::<FrameConnection>::new().and_then(move |pipe| {
-                        Io::fork(feeder(q, pipe, conns, cfg))
-                            .then(Io::fork(collector(pipe, conns, report)))
-                            .map(|_| ())
-                    }));
-                }
-                forks
-                    .then(sum_reports(report, cfg.shards as u64, 0))
-                    .and_then(move |oks| {
-                        server
-                            .shutdown_sync()
-                            .then(server.drain())
-                            .then(server.aggregate_per_shard())
-                            .map(move |per_shard| {
-                                let agg = per_shard
-                                    .iter()
-                                    .fold(StatsSnapshot::default(), |acc, s| acc.merge(s));
-                                (oks, agg, per_shard)
-                            })
-                    })
-            })
-        })
-    })
 }
 
 /// One shard's load feeder: every `arrival_gap` µs, open a connection,
@@ -821,11 +658,31 @@ mod tests {
             arrival_gap: 10,
             ..LoadConfig::default()
         };
-        let (oks, agg) = rt.run(sharded_load(hello(), cfg)).unwrap();
+        let (oks, per_shard) = rt.run(sharded_load(hello(), cfg, None)).unwrap();
+        let agg = StatsSnapshot::sum(&per_shard);
         assert_eq!(oks, 200);
         assert_eq!(agg.accepted, 200);
         assert_eq!(agg.served, 200);
         assert!(agg.conserved(), "{agg:?}");
+    }
+
+    #[test]
+    fn skewed_load_lands_on_the_hot_shard() {
+        let mut rt = Runtime::new();
+        let cfg = LoadConfig {
+            clients: 10,
+            shards: 3,
+            requests_per_conn: 1,
+            arrival_gap: 10,
+            ..LoadConfig::default()
+        };
+        let (oks, per_shard) = rt.run(sharded_load(hello(), cfg, Some(80))).unwrap();
+        assert_eq!(oks, 10);
+        assert_eq!(
+            per_shard.iter().map(|s| s.accepted).collect::<Vec<_>>(),
+            [8, 1, 1]
+        );
+        assert!(StatsSnapshot::sum(&per_shard).conserved(), "{per_shard:?}");
     }
 
     #[test]
@@ -841,8 +698,12 @@ mod tests {
             arrival_gap: 10,
             ..LoadConfig::default()
         };
-        let (oks, agg) = rt.run(sharded_load(hello(), cfg)).unwrap();
+        let (oks, per_shard) = rt.run(sharded_load(hello(), cfg, None)).unwrap();
         assert_eq!(oks, 14);
-        assert!(agg.conserved(), "{agg:?}");
+        assert_eq!(
+            per_shard.iter().map(|s| s.accepted).collect::<Vec<_>>(),
+            [6, 4, 4]
+        );
+        assert!(StatsSnapshot::sum(&per_shard).conserved(), "{per_shard:?}");
     }
 }

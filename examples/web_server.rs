@@ -75,9 +75,14 @@ fn parse_sharded_args() -> Option<LoadConfig> {
 fn run_sharded(cfg: LoadConfig) {
     let mut rt = Runtime::new();
     let requests = (cfg.clients * cfg.requests_per_conn) as i64;
-    let (oks, snap) = rt
-        .run(sharded_load(handler(|_| Io::pure(Response::ok("ok"))), cfg))
+    let (oks, per_shard) = rt
+        .run(sharded_load(
+            handler(|_| Io::pure(Response::ok("ok"))),
+            cfg,
+            None,
+        ))
         .unwrap();
+    let snap = StatsSnapshot::sum(&per_shard);
     println!(
         "sharded run: {} clients x {} pipelined requests over {} shards",
         cfg.clients, cfg.requests_per_conn, cfg.shards

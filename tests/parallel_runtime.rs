@@ -17,6 +17,7 @@
 use conch_httpd::http::Response;
 use conch_httpd::parallel::{wall_parallel_load, WallConfig};
 use conch_httpd::server::{handler, Handler};
+use conch_httpd::shard::LoadConfig;
 use conch_runtime::parallel::{MultiConfig, MultiRuntime, ShardCtx, ShardProgram};
 use conch_runtime::prelude::*;
 use conch_runtime::value::Value;
@@ -117,9 +118,12 @@ fn echo_factory() -> impl Fn() -> Handler + Send + Clone + 'static {
 #[test]
 fn wall_plane_merged_stats_are_identical_at_any_os_thread_count() {
     let cfg = |os_threads| WallConfig {
-        shards: 4,
-        clients: 200,
-        requests_per_conn: 5,
+        load: LoadConfig {
+            shards: 4,
+            clients: 200,
+            requests_per_conn: 5,
+            ..LoadConfig::default()
+        },
         os_threads,
         ..WallConfig::default()
     };
